@@ -1,9 +1,9 @@
-"""Batched backward product-graph traversal (the §4 algorithm on
+"""The backward product-graph traversal (the §4 algorithm on
 frontier-at-once kernels).
 
-:class:`BatchedBackwardRun` evaluates the same BFS the scalar
-:class:`~repro.core.engine._BackwardRun` performs, but restructured so
-the hot work runs on whole *frontiers*:
+:class:`BatchedBackwardRun` is the engine's one product-graph runner.
+It performs a BFS from the start object range(s) and restructures it
+so the hot work runs on whole *frontiers*:
 
 * the pending BFS queue is consumed wave by wave (one wave = one BFS
   generation), and all L_p descents of a wave merge into one
@@ -18,7 +18,14 @@ the hot work runs on whole *frontiers*:
   run merged, one round-robin round at a time, with per-element anchor
   provenance carried in a parallel array.
 
-Correctness of the reordering:
+The reference semantics are the scalar walks
+:meth:`BatchedBackwardRun._expand_entry_scalar` (§4.1, collecting
+inline at each accepted leaf) and :meth:`BatchedBackwardRun._collect_scalar`
+(§4.2 and the §4.3 ``C_o`` remap): one depth-first descent per entry or
+task, pushing the right child before the left.  They run small
+frontiers and automata wider than 63 states, whose state sets do not
+fit the int64 masks of the merged L_p wave.  The merged paths must
+reproduce them exactly:
 
 * The wavelet matrix is a perfect tree — every leaf sits at level
   ``height`` — and children are emitted in ``[left, right]`` order, so
@@ -26,7 +33,7 @@ Correctness of the reordering:
   scalar DFS (push right, push left, pop) visits them.
 * An L_p descent reads no mutable traversal state, so merging the
   descents of one wave cannot change any outcome; each entry's leaf
-  list is what its scalar ``_expand`` would produce.
+  list is what its scalar descent would produce.
 * Within one L_s descent every conceptual ``(level, prefix)`` node and
   every subject appears at most once, so level order vs DFS order
   cannot change a prune decision; across descents of one anchor the
@@ -34,28 +41,28 @@ Correctness of the reordering:
   anchors the dictionaries are disjoint.
 
 Counter semantics are preserved exactly — a batch of ``k`` nodes
-counts as ``k`` in every bucket, so the PR-1 invariants
+counts as ``k`` in every bucket, so the invariants
 (``lp_nodes + lp_pruned + lp_empty == lp_descents + lp_children`` and
-the L_s analogue) keep holding and the engine-level differential test
-can assert batched == scalar counter for counter.  The only divergence
-is on early-exited runs (result cap hit, or boolean target found): the
-batched wave has already accounted the whole L_p leaf scan it was in,
-where the scalar loop stops mid-scan.  Reported *results* are
+the L_s analogue) keep holding and the differential test can assert
+merged == scalar counter for counter.  The only divergence is on
+early-exited runs (result cap hit, or boolean target found): the
+merged wave has already accounted the whole L_p leaf scan it was in,
+where the scalar walk stops mid-scan.  Reported *results* are
 identical either way, because leaves are processed in the same order
 up to the stopping point.
 
-Timeout ticks fire only at *balanced* points — end of an L_p wave, end
-of an L_s descent — at a carry-accumulated rate of one
-:meth:`_Budget.tick` per 256 processed nodes.  A
-:class:`~repro.errors.QueryTimeoutError` therefore always surfaces
-with balanced counter buckets, which the partial-stats-on-timeout
-regression test relies on.
+Timeout ticks fire only at *balanced* points — end of a merged L_p
+wave or L_s round, end of each scalar entry or task — at a
+carry-accumulated rate of one :meth:`_Budget.tick` per 256 processed
+nodes.  A :class:`~repro.errors.QueryTimeoutError` therefore always
+surfaces with balanced counter buckets, which the
+partial-stats-on-timeout regression test relies on.
 
-Small frontiers fall back to the scalar code path (same counters, no
-numpy fixed costs): waves of fewer than ``_LP_WAVE_MIN`` entries run
-the per-entry scalar expand, single-task L_s rounds run the scalar
-collect, and merged rounds only vectorize their rank calls once the
-level frontier reaches ``_VEC_MIN`` elements.
+Small frontiers take the scalar path (same counters, no numpy fixed
+costs): waves of fewer than ``_LP_WAVE_MIN`` entries run the per-entry
+scalar expand, L_s rounds of fewer than ``_LS_ROUND_MIN`` tasks run the
+scalar collect, and merged rounds only vectorize their rank calls once
+the level frontier reaches ``_VEC_MIN`` elements.
 """
 
 from __future__ import annotations
@@ -82,19 +89,17 @@ _VEC_MIN = 16
 #: descents share each level's rank call.
 _LS_ROUND_MIN = 32
 
-#: One timeout tick per this many processed wavelet nodes (matches the
-#: scalar runner's ``pops & 255`` throttle).
+#: One timeout tick per this many processed wavelet nodes.
 _TICK_GRAIN = 256
 
 
 class BatchedBackwardRun:
     """Backward BFS over one prepared query, batched across anchors.
 
-    Drop-in behavioural equivalent of the scalar ``_BackwardRun`` (same
-    reported sets, same counters); additionally supports running many
-    anchored subqueries in lockstep via :meth:`run_many`.  Requires
-    ``prepared.batchable`` (state masks fitting an int64) and BFS
-    traversal order.
+    :meth:`run` traverses from one start range; :meth:`run_many` runs
+    many anchored subqueries in lockstep.  Automata that are not
+    ``prepared.batchable`` (state masks wider than an int64) run every
+    wave on the scalar path.
     """
 
     def __init__(self, engine, prepared, ctx, prune: bool):
@@ -127,7 +132,14 @@ class BatchedBackwardRun:
         max_reported: int | None = None,
         target: int | None = None,
     ) -> set[int]:
-        """Single-anchor run; same contract as ``_BackwardRun.run``."""
+        """Traverse from one start range; returns the reported node ids.
+
+        ``start_node=None`` means the full-range start of a v-to-v
+        first pass: every node is then treated as already visited with
+        the final states (minus the initial state, which must stay
+        reportable).  ``target`` enables the early exit of fixed-fixed
+        queries; ``max_reported`` implements the result cap.
+        """
         return self._run(
             [start_node], [start_range], max_reported, target
         )[0]
@@ -210,12 +222,12 @@ class BatchedBackwardRun:
             if spans is not None:
                 wave_span = spans.start("wave")
                 wave_span.set(width=len(entries))
-        if len(entries) < _LP_WAVE_MIN:
+        if len(entries) < _LP_WAVE_MIN or not self.prepared.batchable:
             for ai, b_o, e_o, d in entries:
                 self._expand_entry_scalar(ai, b_o, e_o, d)
                 if self.done:
                     break
-            self._tick_flush()
+                self._tick_flush()
         else:
             tasks = self._lp_wave(entries)
             self._tick_flush()
@@ -249,7 +261,7 @@ class BatchedBackwardRun:
                     self._collect_scalar(ai, b_s, e_s, d_next)
                     if self.done:
                         break
-                self._tick_flush()
+                    self._tick_flush()
             else:
                 self._collect_round(round_tasks)
                 self._tick_flush()
@@ -627,14 +639,18 @@ class BatchedBackwardRun:
             obs.add_phase("subjects_from_predicates", now() - t_start)
 
     # ------------------------------------------------------------------
-    # Scalar fallbacks (reference semantics, small frontiers)
+    # Scalar path (reference semantics: small frontiers, wide automata)
     # ------------------------------------------------------------------
-    # These mirror ``_BackwardRun._expand`` / ``_collect_subjects``
-    # statement for statement (bar the per-anchor state and the
-    # carry-based ticking); any change there must be replayed here.
 
     def _expand_entry_scalar(self, ai, b_o, e_o, d):
-        """Scalar L_p descent of one entry, collects inline at leaves."""
+        """Scalar L_p descent of one entry (§4.1 reference walk),
+        collecting inline at each accepted leaf.
+
+        The descent is the node-API walk of §4.1 unrolled onto
+        :meth:`WaveletMatrix.traversal_data` arrays: identical traversal
+        order and pruning decisions, without per-node object
+        construction.
+        """
         ring = self.engine.ring
         prepared = self.prepared
         bv_masks = prepared.bv_masks
@@ -806,7 +822,9 @@ class BatchedBackwardRun:
                     stats.ls_pruned += 1
                     continue
                 # Record the visit only when the range *covers* the node
-                # (see the scalar reference and DESIGN.md "Deviations").
+                # (every occurrence below it is inside the range) — the
+                # paper's unconditional update is unsound for partial
+                # ranges; see DESIGN.md "Deviations".
                 shift = height - level
                 lo = prefix << shift
                 hi = lo + (1 << shift)

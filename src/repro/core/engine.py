@@ -21,25 +21,23 @@ object range with active NFA states ``D`` has three parts:
 A node is reported whenever the initial NFA state becomes active.
 Variable-to-variable queries run a first pass from the full ``L_p``
 range to find the bindings of one side (chosen by the §5 cardinality
-heuristic), then one anchored subquery per binding; §5's fast paths
-handle length-1/2 and disjunctive patterns with pure backward search.
+heuristic), then one anchored subquery per binding, traversed in
+lockstep chunks; §5's fast paths handle length-1/2 and disjunctive
+patterns with pure backward search.  The traversal itself lives in
+:class:`~repro.core.batchrun.BatchedBackwardRun`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from collections.abc import Iterable
 
 import numpy as np
 
 from repro.automata.bitparallel import ReverseSimulator
-from repro.automata.glushkov import (
-    GlushkovAutomaton,
-    build_glushkov,
-    resolve_atom_to_predicates,
-)
+from repro.automata.glushkov import build_glushkov, resolve_atom_to_predicates
 from repro.automata.syntax import Concat, RegexNode, Symbol, Union
 from repro.core.batchrun import BatchedBackwardRun
 from repro.core.planner import choose_anchor_side
@@ -49,10 +47,11 @@ from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.obs.metrics import NULL_METRICS
 
 #: How many :meth:`_Budget.tick` calls between wall-clock checks.  The
-#: hot traversal loops already throttle their tick calls to one per 256
-#: stack pops, so the effective check window is ``256 * _TICK_EVERY``
-#: inner operations — keep this small or a mid-sized query can finish
-#: (or badly overrun its budget) without ever consulting the clock.
+#: traversal runner already throttles its tick calls to one per 256
+#: processed wavelet nodes, so the effective check window is
+#: ``256 * _TICK_EVERY`` inner operations — keep this small or a
+#: mid-sized query can finish (or badly overrun its budget) without
+#: ever consulting the clock.
 _TICK_EVERY = 4
 
 #: Phase-2 anchored subqueries merge into batched runs of this many
@@ -150,9 +149,9 @@ class _Prepared:
                 bv[key] = bv.get(key, 0) | mask
         self.bv_masks = bv
         self.reverse = ReverseSimulator(self.automaton, self.b_masks)
-        # The batched traversal keeps NFA state sets in int64 arrays, so
+        # The merged L_p wave keeps NFA state sets in int64 arrays, so
         # it only applies while every mask fits a signed 64-bit word;
-        # larger automata fall back to the scalar runner (Python ints).
+        # larger automata run the runner's scalar path (Python ints).
         self.batchable = self.automaton.num_states <= 63
         if self.batchable:
             # bv_masks as one dense int64 array per level, so the §4.1
@@ -167,339 +166,6 @@ class _Prepared:
             self.mask_levels = mask_levels
         else:
             self.mask_levels = None
-
-
-class _BackwardRun:
-    """One backward product-graph traversal (BFS) on a prepared query."""
-
-    def __init__(
-        self,
-        engine: "RingRPQEngine",
-        prepared: _Prepared,
-        ctx: _EvalContext,
-        prune: bool,
-    ):
-        self.engine = engine
-        self.prepared = prepared
-        self.budget = ctx.budget
-        self.stats = ctx.stats
-        self.prune = prune
-        self.obs = ctx.obs
-        self.forbidden = ctx.forbidden_ids
-        self.visited: dict[int, int] = {}
-        self.vnode_visited: dict[tuple[int, int], int] = {}
-        self.base_mask = 0
-
-    def run(
-        self,
-        start_range: tuple[int, int],
-        start_node: int | None,
-        max_reported: int | None = None,
-        target: int | None = None,
-    ) -> set[int]:
-        """Traverse and return the reported node ids.
-
-        ``start_node=None`` means the full-range start of a v-to-v
-        first pass: every node is then treated as already visited with
-        the final states (minus the initial state, which must stay
-        reportable).  ``target`` enables the early exit of fixed-fixed
-        queries; ``max_reported`` implements the result cap.
-        """
-        automaton = self.prepared.automaton
-        start_mask = automaton.final_mask
-        reported: set[int] = set()
-        if start_mask == 0:
-            return reported
-
-        if start_node is None:
-            self.base_mask = start_mask & ~GlushkovAutomaton.INITIAL_MASK
-        else:
-            self.visited[start_node] = start_mask
-        full_mask = (1 << automaton.num_states) - 1
-        for node in self.forbidden:
-            self.visited[node] = full_mask
-
-        queue: deque[tuple[tuple[int, int], int]] = deque()
-        queue.append((start_range, start_mask))
-        pop = (queue.popleft if self.engine.traversal == "bfs"
-               else queue.pop)
-        obs = self.obs
-        enabled = obs.enabled
-        tracing = obs.tracing
-        spans = obs.spans if enabled else None
-
-        while queue:
-            (b_o, e_o), d = pop()
-            if b_o >= e_o:
-                continue
-            step_span = None
-            if enabled:
-                obs.inc("engine.steps")
-                if tracing:
-                    obs.record("step", range=(b_o, e_o), states=d)
-                if spans is not None:
-                    step_span = spans.start("step")
-            done = self._expand(
-                b_o, e_o, d, queue, reported, max_reported, target
-            )
-            if step_span is not None:
-                step_span.set(range=(b_o, e_o))
-                spans.end(step_span)
-            if done:
-                break
-        self.stats.visited_nodes = max(
-            self.stats.visited_nodes, len(self.visited)
-        )
-        return reported
-
-    # ------------------------------------------------------------------
-
-    def _expand(
-        self,
-        b_o: int,
-        e_o: int,
-        d: int,
-        queue: deque,
-        reported: set[int],
-        max_reported: int | None,
-        target: int | None,
-    ) -> bool:
-        """Parts 1–3 of one NFA step; True when the run should stop.
-
-        The ``L_p`` descent below is the node-API walk of §4.1 unrolled
-        onto :meth:`WaveletMatrix.traversal_data` arrays: identical
-        traversal order and pruning decisions, but without per-node
-        object construction (see the accessor's docstring).
-        """
-        ring = self.engine.ring
-        prepared = self.prepared
-        bv_masks = prepared.bv_masks
-        b_masks = prepared.b_masks
-        step_prefiltered = prepared.reverse.step_prefiltered
-        stats = self.stats
-        tick = self.budget.tick
-        prune = self.prune
-        c_p = ring.C_p.fast_list() or ring.C_p
-        levels, zeros, height, _, _, bottom_start = self.engine.lp_data
-        obs = self.obs
-        timed = obs.enabled
-        tracing = obs.tracing
-        now = time.monotonic
-        if timed:
-            t_start = now()
-            t_sub = 0.0
-        stats.lp_descents += 1
-
-        stack = [(0, 0, b_o, e_o)]
-        pops = 0
-        done = False
-        while stack:
-            pops += 1
-            if not pops & 255:
-                tick()
-            level, prefix, b, e = stack.pop()
-            if b >= e:
-                stats.lp_empty += 1
-                continue
-            stats.wavelet_nodes += 1
-            if prune:
-                filtered = d & bv_masks.get((level, prefix), 0)
-                if filtered == 0:
-                    stats.lp_pruned += 1
-                    continue
-            stats.lp_nodes += 1
-            if level == height:
-                pid = prefix
-                filtered = d & b_masks.get(pid, 0)
-                if filtered == 0:
-                    continue  # reachable only when pruning is disabled
-                start = bottom_start[pid]
-                base = c_p[pid]
-                b_s, e_s = base + (b - start), base + (e - start)
-                if b_s >= e_s:
-                    continue
-                stats.product_edges += 1
-                stats.backward_steps += 1
-                d_next = step_prefiltered(filtered)
-                if d_next == 0:
-                    continue
-                if tracing:
-                    obs.record(
-                        "backward_step", pid=pid, range=(b_s, e_s),
-                        states=d_next,
-                    )
-                if timed:
-                    t0 = now()
-                    done = self._collect_subjects(
-                        b_s, e_s, d_next, queue, reported, max_reported,
-                        target,
-                    )
-                    t_sub += now() - t0
-                else:
-                    done = self._collect_subjects(
-                        b_s, e_s, d_next, queue, reported, max_reported,
-                        target,
-                    )
-                if done:
-                    break
-            else:
-                stats.lp_children += 2
-                stats.storage_ops += 2
-                words, cum, n_bits = levels[level]
-                # rank1(b), rank1(e) inlined (BitVector fast path).
-                if b <= 0:
-                    r1b = 0
-                elif b >= n_bits:
-                    r1b = cum[-1]
-                else:
-                    w = b >> 6
-                    off = b & 63
-                    r1b = cum[w]
-                    if off:
-                        r1b += (words[w] & ((1 << off) - 1)).bit_count()
-                if e >= n_bits:
-                    r1e = cum[-1]
-                else:
-                    w = e >> 6
-                    off = e & 63
-                    r1e = cum[w]
-                    if off:
-                        r1e += (words[w] & ((1 << off) - 1)).bit_count()
-                z = zeros[level]
-                next_level = level + 1
-                stack.append(
-                    (next_level, (prefix << 1) | 1, z + r1b, z + r1e)
-                )
-                stack.append(
-                    (next_level, prefix << 1, b - r1b, e - r1e)
-                )
-        if timed:
-            obs.add_phase("predicates_from_objects", now() - t_start - t_sub)
-        return done
-
-    def _collect_subjects(
-        self,
-        b_s: int,
-        e_s: int,
-        d_next: int,
-        queue: deque,
-        reported: set[int],
-        max_reported: int | None,
-        target: int | None,
-    ) -> bool:
-        """Part 2: distinct unvisited subjects in ``L_s[b_s, e_s)``."""
-        ring = self.engine.ring
-        stats = self.stats
-        tick = self.budget.tick
-        prune = self.prune
-        visited = self.visited
-        vnode_visited = self.vnode_visited
-        base_mask = self.base_mask
-        c_o = ring.C_o.fast_list() or ring.C_o
-        levels, zeros, height, sigma, class_cum, _ = self.engine.ls_data
-        initial_mask = GlushkovAutomaton.INITIAL_MASK
-        obs = self.obs
-        timed = obs.enabled
-        tracing = obs.tracing
-        now = time.monotonic
-        if timed:
-            t_start = now()
-            t_obj = 0.0
-        stats.ls_descents += 1
-
-        stack = [(0, 0, b_s, e_s)]
-        pops = 0
-        done = False
-        while stack:
-            pops += 1
-            if not pops & 255:
-                tick()
-            level, prefix, b, e = stack.pop()
-            if b >= e:
-                stats.ls_empty += 1
-                continue
-            stats.wavelet_nodes += 1
-            if level == height:
-                subject = prefix
-                seen = visited.get(subject, base_mask)
-                if d_next | seen == seen:
-                    stats.ls_pruned += 1
-                    continue
-                stats.ls_nodes += 1
-                d_new = d_next & ~seen
-                visited[subject] = seen | d_next
-                stats.product_nodes += 1
-                if d_new & initial_mask:
-                    reported.add(subject)
-                    if tracing:
-                        obs.record("emit", subject=subject, states=d_new)
-                    if target is not None and subject == target:
-                        done = True
-                        break
-                    if (
-                        max_reported is not None
-                        and len(reported) >= max_reported
-                    ):
-                        stats.truncated = True
-                        done = True
-                        break
-                if timed:
-                    t0 = now()
-                stats.object_ranges += 1
-                ob = c_o[subject]
-                oe = c_o[subject + 1]
-                if ob < oe:
-                    queue.append(((ob, oe), d_new))
-                if timed:
-                    t_obj += now() - t0
-                continue
-            if prune:
-                key = (level, prefix)
-                seen = vnode_visited.get(key, base_mask)
-                if d_next | seen == seen:
-                    stats.ls_pruned += 1
-                    continue
-                # Record the visit only when the range *covers* the node
-                # (every occurrence below it is inside the range) — the
-                # paper's unconditional update is unsound for partial
-                # ranges; see DESIGN.md "Deviations".
-                shift = height - level
-                lo = prefix << shift
-                hi = lo + (1 << shift)
-                if hi > sigma:
-                    hi = sigma
-                if class_cum[hi] - class_cum[lo] == e - b:
-                    vnode_visited[key] = seen | d_next
-            stats.ls_nodes += 1
-            stats.ls_children += 2
-            stats.storage_ops += 2
-            words, cum, n_bits = levels[level]
-            if b <= 0:
-                r1b = 0
-            elif b >= n_bits:
-                r1b = cum[-1]
-            else:
-                w = b >> 6
-                off = b & 63
-                r1b = cum[w]
-                if off:
-                    r1b += (words[w] & ((1 << off) - 1)).bit_count()
-            if e >= n_bits:
-                r1e = cum[-1]
-            else:
-                w = e >> 6
-                off = e & 63
-                r1e = cum[w]
-                if off:
-                    r1e += (words[w] & ((1 << off) - 1)).bit_count()
-            z = zeros[level]
-            next_level = level + 1
-            stack.append((next_level, (prefix << 1) | 1, z + r1b, z + r1e))
-            stack.append((next_level, prefix << 1, b - r1b, e - r1e))
-        if timed:
-            obs.add_phase("subjects_from_predicates", now() - t_start - t_obj)
-            obs.add_phase("subjects_to_objects", t_obj)
-        return done
 
 
 class RingRPQEngine:
@@ -520,17 +186,6 @@ class RingRPQEngine:
         Enable the §5 start-side cardinality heuristic for
         variable-to-variable and fixed-fixed queries; when off, the
         subject side is always anchored first.
-    traversal:
-        ``"bfs"`` (the paper's running example) or ``"dfs"`` — the
-        order in which pending (node, state-set) entries expand.  §3.2
-        allows any graph search; answers are identical either way, the
-        memory/locality profile differs.
-    batch:
-        Use the frontier-batched traversal runner
-        (:class:`~repro.core.batchrun.BatchedBackwardRun`) where it
-        applies — BFS order and automata of at most 63 states; other
-        configurations, and small frontiers, keep the scalar runner.
-        Off gives the pure scalar reference engine.
     prepare_cache_size:
         Capacity of the per-engine LRU cache of compiled expressions
         (automaton + ``B``/``B[v]`` masks), keyed on the expression
@@ -561,20 +216,14 @@ class RingRPQEngine:
         prune: bool = True,
         fast_paths: bool = True,
         use_planner: bool = True,
-        traversal: str = "bfs",
-        batch: bool = True,
         prepare_cache_size: int | None = 128,
         metrics=None,
         slow_log=None,
     ):
-        if traversal not in ("bfs", "dfs"):
-            raise ValueError("traversal must be 'bfs' or 'dfs'")
         self.index = index
         self.prune = prune
         self.fast_paths = fast_paths
         self.use_planner = use_planner
-        self.traversal = traversal
-        self.batch = batch
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.slow_log = slow_log
         self._lp_data = None
@@ -630,11 +279,8 @@ class RingRPQEngine:
         return self._ls_batch
 
     def _new_run(self, prepared: _Prepared, ctx: _EvalContext):
-        """The traversal runner for one (sub)query: batched when the
-        engine and the prepared automaton allow it, scalar otherwise."""
-        if self.batch and self.traversal == "bfs" and prepared.batchable:
-            return BatchedBackwardRun(self, prepared, ctx, self.prune)
-        return _BackwardRun(self, prepared, ctx, self.prune)
+        """The traversal runner for one (sub)query."""
+        return BatchedBackwardRun(self, prepared, ctx, self.prune)
 
     # ------------------------------------------------------------------
 
@@ -1002,59 +648,22 @@ class RingRPQEngine:
             spans.end(span)
 
         # Phase 2: one anchored run per binding, on the other automaton.
+        # Anchored subqueries are independent (disjoint visited tables),
+        # so chunks of them traverse in lockstep sharing each BFS wave's
+        # kernel calls; provenance stays per-anchor inside the runner.
+        # The result cap is re-snapshotted per chunk instead of per
+        # anchor — same guarantee (stop once ``limit`` pairs exist),
+        # coarser check.
         second_prepared = self._prepare(second_expr, ctx)
         order = sorted(bindings)
         span = spans.start("phase2:anchors") if spans is not None else None
         if span is not None:
             span.set(n_anchors=len(order))
-        batched = (
-            self.batch
-            and self.traversal == "bfs"
-            and second_prepared.batchable
-        )
         try:
-            if batched:
-                # Anchored subqueries are independent (disjoint visited
-                # tables), so chunks of them traverse in lockstep sharing
-                # each BFS wave's kernel calls; provenance stays per-anchor
-                # inside the runner.  The result cap is re-snapshotted per
-                # chunk instead of per anchor — same guarantee (stop once
-                # ``limit`` pairs exist), coarser check.
-                for lo in range(0, len(order), _ANCHOR_BATCH):
-                    chunk = order[lo:lo + _ANCHOR_BATCH]
-                    for _ in chunk:
-                        budget.tick()
-                    remaining = (
-                        None if limit is None else limit - len(result.pairs)
-                    )
-                    if remaining is not None and remaining <= 0:
-                        result.stats.truncated = True
-                        return
-                    sub_run = self._new_run(second_prepared, ctx)
-                    result.stats.subqueries += len(chunk)
-                    partner_sets = sub_run.run_many(
-                        chunk,
-                        self.ring.object_ranges_many(chunk, obs=obs),
-                        max_reported=remaining,
-                    )
-                    for node_id, partners in zip(chunk, partner_sets):
-                        if not partners:
-                            continue
-                        anchor_label = dictionary.node_label(node_id)
-                        for partner in partners:
-                            partner_label = dictionary.node_label(partner)
-                            if side == "subject":
-                                result.pairs.add(
-                                    (anchor_label, partner_label)
-                                )
-                            else:
-                                result.pairs.add(
-                                    (partner_label, anchor_label)
-                                )
-                return
-
-            for node_id in order:
-                budget.tick()
+            for lo in range(0, len(order), _ANCHOR_BATCH):
+                chunk = order[lo:lo + _ANCHOR_BATCH]
+                for _ in chunk:
+                    budget.tick()
                 remaining = (
                     None if limit is None else limit - len(result.pairs)
                 )
@@ -1062,19 +671,22 @@ class RingRPQEngine:
                     result.stats.truncated = True
                     return
                 sub_run = self._new_run(second_prepared, ctx)
-                result.stats.subqueries += 1
-                partners = sub_run.run(
-                    self.ring.object_range(node_id),
-                    start_node=node_id,
+                result.stats.subqueries += len(chunk)
+                partner_sets = sub_run.run_many(
+                    chunk,
+                    self.ring.object_ranges_many(chunk, obs=obs),
                     max_reported=remaining,
                 )
-                anchor_label = dictionary.node_label(node_id)
-                for partner in partners:
-                    partner_label = dictionary.node_label(partner)
-                    if side == "subject":
-                        result.pairs.add((anchor_label, partner_label))
-                    else:
-                        result.pairs.add((partner_label, anchor_label))
+                for node_id, partners in zip(chunk, partner_sets):
+                    if not partners:
+                        continue
+                    anchor_label = dictionary.node_label(node_id)
+                    for partner in partners:
+                        partner_label = dictionary.node_label(partner)
+                        if side == "subject":
+                            result.pairs.add((anchor_label, partner_label))
+                        else:
+                            result.pairs.add((partner_label, anchor_label))
         finally:
             if span is not None:
                 spans.end(span)
@@ -1145,46 +757,24 @@ class RingRPQEngine:
         height = ring.L_s.height
 
         subjects = [s for s, _, _ in ring.L_s.range_distinct(b, e)]
-        if self.batch and len(subjects) >= 2:
-            # All subjects map through C_o and the Eq. 4–5 step with the
-            # batch kernels (two vectorized walks instead of 3·height
-            # scalar ranks per subject); only the per-pair emit loop
-            # stays scalar.  Counters accrue per subject as the emit
-            # loop reaches it, so truncated runs account like the
-            # scalar path.
-            obj_ranges = ring.object_ranges_many(subjects, obs=ctx.obs)
-            steps = ring.backward_step_many(obj_ranges, inv, obs=ctx.obs)
-            for i, subject in enumerate(subjects):
-                budget.tick()
-                subject_label = dictionary.node_label(subject)
-                result.stats.product_edges += 1
-                result.stats.backward_steps += 1
-                result.stats.object_ranges += 1
-                result.stats.storage_ops += 3 * height
-                for obj, _, _ in ring.L_s.range_distinct(
-                    int(steps[i, 0]), int(steps[i, 1])
-                ):
-                    result.pairs.add(
-                        (subject_label, dictionary.node_label(obj))
-                    )
-                    if limit is not None and len(result.pairs) >= limit:
-                        result.stats.truncated = True
-                        return
-            return
-
-        for subject in subjects:
+        # All subjects map through C_o and the Eq. 4–5 step with the
+        # batch kernels (two vectorized walks instead of 3·height scalar
+        # ranks per subject); only the per-pair emit loop stays scalar.
+        # Counters accrue per subject as the emit loop reaches it, so a
+        # truncated run accounts only for the subjects it emitted from.
+        obj_ranges = ring.object_ranges_many(subjects, obs=ctx.obs)
+        steps = ring.backward_step_many(obj_ranges, inv, obs=ctx.obs)
+        for i, subject in enumerate(subjects):
             budget.tick()
             subject_label = dictionary.node_label(subject)
-            ob, oe = ring.object_range(subject)
-            bs, es = ring.backward_step(ob, oe, inv)
             result.stats.product_edges += 1
             result.stats.backward_steps += 1
             result.stats.object_ranges += 1
             result.stats.storage_ops += 3 * height
-            for obj, _, _ in ring.L_s.range_distinct(bs, es):
-                result.pairs.add(
-                    (subject_label, dictionary.node_label(obj))
-                )
+            for obj, _, _ in ring.L_s.range_distinct(
+                int(steps[i, 0]), int(steps[i, 1])
+            ):
+                result.pairs.add((subject_label, dictionary.node_label(obj)))
                 if limit is not None and len(result.pairs) >= limit:
                     result.stats.truncated = True
                     return

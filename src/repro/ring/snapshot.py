@@ -178,6 +178,36 @@ def _write_payload(manifest: dict, buffers: dict, target) -> None:
 # ----------------------------------------------------------------------
 
 
+def _check_layout(manifest: dict, payload_len: int) -> None:
+    """Every manifest buffer must lie inside ``total_bytes`` and inside
+    the ``payload_len`` bytes actually present.
+
+    Runs before any view is built, so a truncated file or a damaged
+    manifest fails with :class:`ConstructionError` instead of a raw
+    numpy error.  The payload may end early inside the trailing
+    alignment padding: no buffer reads those bytes.
+    """
+    try:
+        limit = min(int(manifest["total_bytes"]), payload_len)
+        spans = [
+            (name, int(meta["offset"]),
+             int(np.prod(meta["shape"], dtype=np.int64))
+             * np.dtype(meta["dtype"]).itemsize)
+            for name, meta in manifest["buffers"].items()
+        ]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConstructionError(f"malformed snapshot manifest: {exc!r}") \
+            from exc
+    for name, offset, nbytes in spans:
+        if offset < 0 or nbytes < 0 or offset + nbytes > limit:
+            raise ConstructionError(
+                f"snapshot buffer {name!r} spans bytes "
+                f"[{offset}, {offset + nbytes}) but the payload holds "
+                f"{payload_len} of {manifest['total_bytes']} bytes "
+                "(truncated or damaged snapshot)"
+            )
+
+
 def _buffer_view(manifest: dict, payload, name: str) -> np.ndarray:
     meta = manifest["buffers"][name]
     dtype = np.dtype(meta["dtype"])
@@ -223,6 +253,7 @@ def attach_index(manifest: dict, payload):
             f"unsupported snapshot format {manifest.get('format')!r}; "
             f"expected {SNAPSHOT_FORMAT!r}"
         )
+    _check_layout(manifest, len(payload))
     from repro.ring.builder import RingIndex
 
     cols = manifest["columns"]
@@ -485,6 +516,7 @@ def load_snapshot(path, mmap: bool = True):
     With ``mmap=True`` (default) the payload is memory-mapped
     copy-on-read: cold start touches only the pages a query actually
     walks, and N processes loading the same file share the page cache.
+    A truncated or damaged file raises :class:`ConstructionError`.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_FILE_MAGIC))
@@ -493,7 +525,22 @@ def load_snapshot(path, mmap: bool = True):
                 f"{path}: not a ring snapshot (bad magic {magic!r})"
             )
         manifest_len = int.from_bytes(fh.read(8), "little")
-        manifest = json.loads(fh.read(manifest_len).decode("utf-8"))
+        file_size = os.fstat(fh.fileno()).st_size
+        if len(_FILE_MAGIC) + 8 + manifest_len > file_size:
+            raise ConstructionError(
+                f"{path}: truncated snapshot header ({manifest_len}-byte "
+                f"manifest, {file_size}-byte file)"
+            )
+        try:
+            manifest = json.loads(fh.read(manifest_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConstructionError(
+                f"{path}: damaged snapshot manifest ({exc})"
+            ) from exc
+        if not isinstance(manifest, dict):
+            raise ConstructionError(
+                f"{path}: damaged snapshot manifest (not an object)"
+            )
         payload_start = _align(len(_FILE_MAGIC) + 8 + manifest_len)
         if mmap:
             mapped = _mmap.mmap(

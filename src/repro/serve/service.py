@@ -192,7 +192,7 @@ class QueryService:
         appends outside its own.
     engine:
         Optionally a pre-configured engine over ``index`` (ablations,
-        scalar reference, custom prepare-cache size).  Its ``slow_log``
+        custom prepare-cache size).  Its ``slow_log``
         should be ``None``; the service records instead.
     """
 

@@ -9,15 +9,16 @@ Three layers of evidence:
 * the ring's bulk operations (``backward_step_many``,
   ``object_ranges_many``) are checked element-wise against their
   scalar originals on a benchmark-shaped index;
-* an engine-level differential proves the batched traversal returns
-  the *identical* pair sets and the identical operation counters as
-  the scalar engine on tier-1 graphs — a batch of k must account
-  exactly like k scalar steps.
+* an engine-level differential proves the merged traversal paths
+  return the *identical* pair sets and the identical operation
+  counters as the runner's scalar reference walk (forced on for every
+  wave by patching the thresholds) on tier-1 graphs — a batch of k
+  must account exactly like k scalar steps.
 
-The differential runs twice: once with production thresholds and once
-with every batched code path forced on (merged L_p waves from one
-entry, merged L_s rounds from width two), so narrow frontiers cannot
-hide the merged paths from the test.
+The differential compares the scalar walk against production
+thresholds and against every merged code path forced on (merged L_p
+waves from one entry, merged L_s rounds from width two), so narrow
+frontiers cannot hide the merged paths from the test.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from repro.core.engine import RingRPQEngine
 from repro.succinct.bitvector import BitVector
 from repro.succinct.wavelet_matrix import WaveletMatrix
 
-# Counters that must match between the scalar and the batched engine on
-# untruncated runs (the full PR-1 bucket set plus the derived totals).
+# Counters that must match between the scalar walk and the merged paths
+# on untruncated runs (every bucket plus the derived totals).
 EXACT_COUNTERS = (
     "lp_descents", "lp_nodes", "lp_pruned", "lp_empty", "lp_children",
     "ls_descents", "ls_nodes", "ls_pruned", "ls_empty", "ls_children",
@@ -200,69 +201,63 @@ def test_object_ranges_many_matches_scalar(kg_index):
 # Engine-level differential: identical pairs, identical counters
 # ----------------------------------------------------------------------
 
+#: Thresholds that keep every wave and round on the runner's scalar
+#: reference walk, and thresholds that force every merged path on.
+SCALAR = dict(_LP_WAVE_MIN=1 << 62, _LS_ROUND_MIN=1 << 62)
+MERGED = dict(_LP_WAVE_MIN=1, _LS_ROUND_MIN=2, _VEC_MIN=1)
 
-def _assert_engines_agree(index, queries):
-    scalar = RingRPQEngine(index, batch=False)
-    batched = RingRPQEngine(index, batch=True)
+
+def evaluate_with(monkeypatch, thresholds, engine, query):
+    """Evaluate ``query`` with the runner's thresholds patched."""
+    with monkeypatch.context() as patch:
+        for name, value in thresholds.items():
+            patch.setattr(batchrun, name, value)
+        result = engine.evaluate(query, timeout=60.0)
+    assert not result.stats.timed_out, query
+    return result
+
+
+def _assert_paths_agree(monkeypatch, index, queries, *thresholds,
+                        prune=True):
+    """The scalar walk and each threshold setting give identical pairs
+    and identical counters."""
+    engine = RingRPQEngine(index, prune=prune)
     for query in queries:
-        rs = scalar.evaluate(query, timeout=60.0)
-        rb = batched.evaluate(query, timeout=60.0)
-        assert not rs.stats.timed_out and not rb.stats.timed_out
-        assert rb.pairs == rs.pairs, query
-        diffs = {
-            name: (getattr(rs.stats, name), getattr(rb.stats, name))
-            for name in EXACT_COUNTERS
-            if getattr(rs.stats, name) != getattr(rb.stats, name)
-        }
-        assert not diffs, (query, diffs)
+        rs = evaluate_with(monkeypatch, SCALAR, engine, query)
+        for setting in thresholds:
+            rb = evaluate_with(monkeypatch, setting, engine, query)
+            assert rb.pairs == rs.pairs, (query, setting)
+            diffs = {
+                name: (getattr(rs.stats, name), getattr(rb.stats, name))
+                for name in EXACT_COUNTERS
+                if getattr(rs.stats, name) != getattr(rb.stats, name)
+            }
+            assert not diffs, (query, setting, diffs)
 
 
-def test_engine_differential_default_thresholds(kg_index):
-    _assert_engines_agree(kg_index, QUERIES)
+def test_engine_differential_default_thresholds(kg_index, monkeypatch):
+    _assert_paths_agree(monkeypatch, kg_index, QUERIES, {})
 
 
 def test_engine_differential_forced_batch_paths(kg_index, monkeypatch):
     """Same differential with every merged code path forced on."""
-    monkeypatch.setattr(batchrun, "_LP_WAVE_MIN", 1)
-    monkeypatch.setattr(batchrun, "_LS_ROUND_MIN", 2)
-    monkeypatch.setattr(batchrun, "_VEC_MIN", 1)
-    _assert_engines_agree(kg_index, QUERIES)
+    _assert_paths_agree(monkeypatch, kg_index, QUERIES, MERGED)
 
 
-def test_engine_differential_santiago(santiago_index):
-    """The paper's Fig. 1 graph: small frontiers, scalar fallbacks."""
+def test_engine_differential_santiago(santiago_index, monkeypatch):
+    """The paper's Fig. 1 graph: small frontiers."""
     queries = [
         "(?x, (l1|l2)+, ?y)",
         "(?x, bus/l1*, ?y)",
         "(?x, ^l1/l2, ?y)",
     ]
-    _assert_engines_agree(santiago_index, queries)
+    _assert_paths_agree(monkeypatch, santiago_index, queries, {}, MERGED)
 
 
-def test_engine_differential_no_prune(kg_index):
+def test_engine_differential_no_prune(kg_index, monkeypatch):
     """Pruning off exercises the unpruned wave bookkeeping."""
-    scalar = RingRPQEngine(kg_index, batch=False, prune=False)
-    batched = RingRPQEngine(kg_index, batch=True, prune=False)
-    for query in QUERIES[:4]:
-        rs = scalar.evaluate(query, timeout=60.0)
-        rb = batched.evaluate(query, timeout=60.0)
-        assert rb.pairs == rs.pairs
-        for name in EXACT_COUNTERS:
-            assert getattr(rs.stats, name) == getattr(rb.stats, name), (
-                query, name
-            )
-
-
-def test_dfs_traversal_keeps_scalar_runner(kg_index):
-    """DFS order is outside the batched runner's contract; the engine
-    must transparently keep the scalar runner and stay correct."""
-    dfs = RingRPQEngine(kg_index, traversal="dfs", batch=True)
-    bfs = RingRPQEngine(kg_index, traversal="bfs", batch=True)
-    for query in QUERIES[:4]:
-        assert (
-            dfs.evaluate(query, timeout=60.0).pairs
-            == bfs.evaluate(query, timeout=60.0).pairs
-        )
+    _assert_paths_agree(monkeypatch, kg_index, QUERIES[:4], {}, MERGED,
+                        prune=False)
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.automata.parser import parse_regex
 from repro.graph.generators import chain_graph, cycle_graph
 from repro.graph.model import Graph
 from repro.ring.builder import RingIndex
+from tests.test_batch_kernels import MERGED, SCALAR, evaluate_with
 
 
 @pytest.fixture(scope="module")
@@ -146,14 +147,14 @@ class TestFlags:
 
     @pytest.mark.parametrize("query", QUERIES + ["(a, p+, c)",
                                                  "(a, p*/q, d)"])
-    def test_dfs_matches_bfs(self, idx, query):
-        bfs = RingRPQEngine(idx, traversal="bfs")
-        dfs = RingRPQEngine(idx, traversal="dfs")
-        assert bfs.evaluate(query).pairs == dfs.evaluate(query).pairs
-
-    def test_bad_traversal_rejected(self, idx):
-        with pytest.raises(ValueError):
-            RingRPQEngine(idx, traversal="zigzag")
+    def test_scalar_walk_matches_merged(self, idx, query, monkeypatch):
+        # The runner's depth-first scalar descents and its
+        # level-synchronous merged descents visit wavelet nodes in
+        # different orders; the answers must not depend on it.
+        engine = RingRPQEngine(idx)
+        scalar = evaluate_with(monkeypatch, SCALAR, engine, query)
+        merged = evaluate_with(monkeypatch, MERGED, engine, query)
+        assert scalar.pairs == merged.pairs
 
     def test_boolean_planner_side_choice(self, idx):
         # fixed-fixed queries must agree regardless of anchor side

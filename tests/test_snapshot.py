@@ -173,6 +173,62 @@ class TestFilePlane:
         )
 
 
+class TestDamagedFiles:
+    """A truncated or damaged snapshot file fails with a typed error."""
+
+    @pytest.fixture(scope="class")
+    def snapshot_bytes(self, kg_index, tmp_path_factory):
+        path = tmp_path_factory.mktemp("snap") / "index.snap"
+        save_snapshot(kg_index, path)
+        manifest, _ = snapshot_index(kg_index)
+        last_end = max(
+            meta["offset"]
+            + int(np.prod(meta["shape"])) * np.dtype(meta["dtype"]).itemsize
+            for meta in manifest["buffers"].values()
+        )
+        padding = manifest["total_bytes"] - last_end
+        return path.read_bytes(), padding
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize("cut", [8, 12, 30, 200, "half", "last byte"])
+    def test_truncated_file_rejected(self, snapshot_bytes, tmp_path, cut,
+                                     mmap):
+        data, padding = snapshot_bytes
+        if cut == "half":
+            cut = len(data) // 2
+        elif cut == "last byte":
+            cut = len(data) - padding - 1
+        path = tmp_path / "cut.snap"
+        path.write_bytes(data[:cut])
+        with pytest.raises(ConstructionError, match="truncated"):
+            load_snapshot(path, mmap=mmap)
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_cut_inside_trailing_padding_loads(self, kg_index,
+                                               snapshot_bytes, tmp_path,
+                                               mmap):
+        data, padding = snapshot_bytes
+        assert padding > 0
+        path = tmp_path / "cut.snap"
+        path.write_bytes(data[:len(data) - padding])
+        loaded = load_snapshot(path, mmap=mmap)
+        assert _fingerprints(loaded, WORKLOAD[:2]) == _fingerprints(
+            kg_index, WORKLOAD[:2]
+        )
+
+    def test_damaged_manifest_rejected(self, snapshot_bytes, tmp_path):
+        data, _ = snapshot_bytes
+        path = tmp_path / "bad.snap"
+        path.write_bytes(data[:16] + b"\xff" + data[17:])
+        with pytest.raises(ConstructionError, match="manifest"):
+            load_snapshot(path)
+
+    def test_buffer_outside_payload_rejected(self, kg_index):
+        manifest, _ = snapshot_index(kg_index)
+        with pytest.raises(ConstructionError, match="truncated"):
+            attach_index(manifest, b"\0" * (manifest["total_bytes"] // 2))
+
+
 class TestViewConstruction:
     def test_bitvector_view_parity(self, kg_index):
         bv = kg_index.ring.L_p._levels[0]
