@@ -17,7 +17,13 @@ import argparse
 from repro import RingIndex
 from repro.core.engine import RingRPQEngine
 from repro.graph.generators import wikidata_like
-from repro.obs import Metrics, SlowQueryLog, prometheus_text
+from repro.obs import (
+    Metrics,
+    SlowQueryLog,
+    audit_record,
+    prometheus_text,
+    publish,
+)
 
 QUERIES = [
     "(?x, p0, ?y)",
@@ -26,6 +32,15 @@ QUERIES = [
     "(?x, (p0|p1)+, ?y)",
     "(n0, p2/p3, ?y)",
 ]
+
+
+def print_tree(nodes: list, depth: int = 0, max_depth: int = 1) -> None:
+    """Indented rendering of the top levels of a span tree."""
+    for node in nodes:
+        print(f"  {'  ' * depth}{node['name']:<24s} "
+              f"{node['duration'] * 1e3:9.3f} ms")
+        if depth < max_depth:
+            print_tree(node["children"], depth + 1, max_depth)
 
 
 def main() -> None:
@@ -40,11 +55,21 @@ def main() -> None:
     index = RingIndex.from_graph(graph)
 
     slow_log = SlowQueryLog(capacity=3)
-    engine = RingRPQEngine(index, slow_log=slow_log)
+    engine = RingRPQEngine(index)
     metrics = Metrics(span_capacity=100_000)
 
     for query in QUERIES:
-        result = engine.evaluate(query, metrics=metrics)
+        # A registry per query holds exactly this query's spans; the
+        # slow log keeps them as the span tree of its audit record,
+        # then the session registry absorbs them for the trace file.
+        local = Metrics(span_capacity=10_000)
+        result = engine.evaluate(query, metrics=local)
+        publish([slow_log],
+                audit_record(query, result.stats, len(result),
+                             engine.name, spans=local.spans),
+                result.stats, spans=local.spans,
+                phase_seconds=local.phase_seconds)
+        metrics.merge(local)
         print(f"{query:<24s} {len(result):6d} results "
               f"in {result.stats.elapsed * 1e3:8.3f} ms")
 
@@ -57,7 +82,8 @@ def main() -> None:
     print("\n" + slow_log.format_table())
 
     worst = slow_log.entries()[0]
-    print(f"\nspan tree of the slowest query ({worst.query}):")
+    print(f"\nspan tree of the slowest query ({worst['query']}):")
+    print_tree(worst["span_tree"])
     print(f"  (full session: {len(metrics.spans)} spans, "
           f"max depth {metrics.spans.max_depth()})")
 

@@ -2,8 +2,9 @@
 
 Starts a :class:`~repro.serve.QueryService` over a synthetic knowledge
 graph with every telemetry component attached — shared metrics
-registry, slow log, JSON-lines query log, resource sampler, sampling
-profiler, flight recorder and the background HTTP endpoint — then
+registry, the three audit sinks (slow log, JSON-lines query log,
+flight recorder), resource sampler, sampling profiler and the
+background HTTP endpoint — then
 drives a workload while scraping ``/metrics``, ``/healthz``,
 ``/debug/vars`` and ``/debug/flight`` over real HTTP exactly as a
 Prometheus agent would.  Asserts on everything it scrapes, so CI can
@@ -160,17 +161,34 @@ def main() -> None:
               f"{flight_dump['total_recorded']} audit records retained "
               f"({flight_dump['dropped']} dropped); dump at {flight_path}")
 
-        # -- query-id correlation: one id joins every record stream.
+        # -- query-id correlation: the three sinks hold the same
+        # audit record per query, so one id joins them all.
         records = read_query_log(log_path)
         assert len(records) == len(queries), (len(records), len(queries))
+        by_id = {r["query_id"]: r for r in records}
         slow_entries = slow_log.entries()
-        assert slow_entries and all(e.query_id for e in slow_entries)
+        assert slow_entries and all(e["query_id"] for e in slow_entries)
+        assert all("span_tree" in e for e in slow_entries
+                   if not e["cache_hit"])
         worst = slow_entries[0]
-        (match,) = [r for r in records if r["query_id"] == worst.query_id]
-        assert match["query"] == worst.query
+        match = by_id[worst["query_id"]]
+        assert match["query"] == worst["query"]
+        assert match["elapsed"] == worst["elapsed"]
+        for record in ring:
+            line = by_id[record["query_id"]]
+            assert (line["query"], line["elapsed"]) == (
+                record["query"], record["elapsed"]
+            ), (line, record)
+        ring_by_id = {r["query_id"]: r for r in ring}
+        in_ring = [e for e in slow_entries if e["query_id"] in ring_by_id]
+        for entry in in_ring:
+            assert ring_by_id[entry["query_id"]]["elapsed"] == \
+                entry["elapsed"]
         print(f"query log ok: {len(records)} lines; slowest query "
-              f"{worst.query_id} ({worst.elapsed * 1e3:.2f} ms) found in "
-              "both slow log and query log")
+              f"{worst['query_id']} ({worst['elapsed'] * 1e3:.2f} ms) "
+              f"found in both slow log and query log; all {len(ring)} "
+              f"flight records found in the query log, {len(in_ring)} "
+              "of them also in the slow log")
 
     profiler.write_collapsed(out)
     print(f"collapsed stacks ({len(profiler.stack_counts())} distinct) "

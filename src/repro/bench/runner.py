@@ -26,6 +26,7 @@ from repro.bench.stats import (
     summarize,
 )
 from repro.core.query import RPQ
+from repro.obs.audit import audit_record, publish
 
 
 @dataclass
@@ -610,8 +611,8 @@ def run_benchmark(
     returning a :class:`~repro.core.result.QueryResult` — both the ring
     engine and every baseline do.  Pass a
     :class:`~repro.obs.slowlog.SlowQueryLog` as ``slow_log`` to retain
-    the K worst (engine, query) evaluations of the run with their
-    counter snapshots.
+    the K worst (engine, query) evaluations of the run as audit records
+    with their counter snapshots.
     """
     results = BenchmarkResults(timeout=timeout)
     for query in queries:
@@ -634,15 +635,8 @@ def run_benchmark(
                     counters=stats.operation_counts(),
                 )
             )
-            if slow_log is not None and slow_log.would_keep(stats.elapsed):
-                slow_log.record(
-                    str(query), stats.elapsed,
-                    n_results=len(outcome),
-                    timed_out=stats.timed_out,
-                    truncated=stats.truncated,
-                    counters=stats.operation_counts(),
-                    engine=name,
-                )
-            elif slow_log is not None:
-                slow_log.total_recorded += 1
+            if slow_log is not None:
+                publish((slow_log,), audit_record(query, stats,
+                                                  len(outcome), name),
+                        stats)
     return results

@@ -282,31 +282,30 @@ def _build_service(args: argparse.Namespace, metrics=None, slow_log=None,
             start_method=getattr(args, "start_method", None),
             **common,
         )
-    engine = None
-    if backend != "ring":
-        # The service's slow log stays authoritative; the engine is
-        # built without one (same division as the default ring path).
-        engine = make_engine(backend, index)
+    engine = make_engine(backend, index) if backend != "ring" else None
     return QueryService(index, engine=engine, **common)
 
 
+def _open_query_log(args: argparse.Namespace):
+    """The ``--query-log`` JSONL sink, or None without the flag."""
+    from repro.obs.querylog import QueryLogWriter
+
+    path = getattr(args, "query_log", None)
+    return QueryLogWriter(path) if path else None
+
+
 class _TelemetryPlane:
-    """The live telemetry stack around one service: sampler, profiler,
-    HTTP endpoint and JSON query log, started/stopped together.
+    """The live telemetry stack around one service: sampler, profiler
+    and HTTP endpoint, started/stopped together (stopping also closes
+    the service's JSON query log).
 
     Built by ``repro serve``/``query-batch`` from ``--metrics-port``,
-    ``--query-log``, ``--sample-interval`` and ``--profile-out``; every
-    component is optional and ``None`` when its flag is absent.
+    ``--sample-interval`` and ``--profile-out``; every component is
+    optional and ``None`` when its flag is absent.
     """
 
-    def __init__(self, args: argparse.Namespace, metrics, service,
-                 slow_log=None):
-        from repro.obs.querylog import QueryLogWriter
-
-        self.query_log = (
-            QueryLogWriter(args.query_log)
-            if getattr(args, "query_log", None) else None
-        )
+    def __init__(self, args: argparse.Namespace, metrics, service):
+        self.query_log = service.query_log
         self.profile_out = getattr(args, "profile_out", None)
         self.sampler = None
         self.profiler = None
@@ -335,8 +334,8 @@ class _TelemetryPlane:
                 service=service,
                 sampler=self.sampler,
                 profiler=self.profiler,
-                slow_log=slow_log,
-                flight=getattr(service, "flight", None),
+                slow_log=service.slow_log,
+                flight=service.flight,
                 port=args.metrics_port,
             )
 
@@ -381,10 +380,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     metrics = Metrics(span_capacity=args.span_capacity)
     slow_log = SlowQueryLog(capacity=args.slow_log)
-    service = _build_service(args, metrics=metrics, slow_log=slow_log)
-    plane = _TelemetryPlane(args, metrics, service, slow_log=slow_log)
-    # The plane owns the query-log writer; hand it to the service.
-    service.query_log = plane.query_log
+    service = _build_service(args, metrics=metrics, slow_log=slow_log,
+                             query_log=_open_query_log(args))
+    plane = _TelemetryPlane(args, metrics, service)
     plane.start()
     front_door = None
     if getattr(args, "http_port", None) is not None:
@@ -477,9 +475,9 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
 
     queries = load_query_file(args.queries)
     metrics = Metrics()
-    service = _build_service(args, metrics=metrics)
+    service = _build_service(args, metrics=metrics,
+                             query_log=_open_query_log(args))
     plane = _TelemetryPlane(args, metrics, service)
-    service.query_log = plane.query_log
     plane.start()
     try:
         summary = drain_queries(

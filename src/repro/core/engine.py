@@ -200,12 +200,6 @@ class RingRPQEngine:
         *counters* always accumulate in :class:`QueryStats`
         regardless).  Can also be supplied per call via
         :meth:`evaluate`.
-    slow_log:
-        A :class:`~repro.obs.slowlog.SlowQueryLog`; every finished
-        ``evaluate`` offers its query to the log, which retains the K
-        slowest with full counter snapshots (and the captured span
-        subtree when spans are on).  ``None`` (the default) disables
-        the log at the cost of one attribute load per query.
     """
 
     name = "ring"
@@ -218,14 +212,12 @@ class RingRPQEngine:
         use_planner: bool = True,
         prepare_cache_size: int | None = 128,
         metrics=None,
-        slow_log=None,
     ):
         self.index = index
         self.prune = prune
         self.fast_paths = fast_paths
         self.use_planner = use_planner
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.slow_log = slow_log
         self._lp_data = None
         self._ls_data = None
         self._lp_batch = None
@@ -321,10 +313,10 @@ class RingRPQEngine:
         sets it from another thread.
 
         ``query_id`` is an opaque correlation id stamped onto
-        ``stats.query_id``, the query span's attributes and the
-        slow-log entry, so every telemetry signal of this evaluation
-        can be joined on one id (the serving layer mints ``q<N>`` per
-        submission).
+        ``stats.query_id`` and the query span's attributes (and from
+        there into the audit record), so every telemetry signal of
+        this evaluation can be joined on one id (the serving layer
+        mints ``q<N>`` per submission).
 
         This method is re-entrant and thread-safe over the shared
         immutable ring: every piece of per-call mutable state lives in
@@ -381,29 +373,6 @@ class RingRPQEngine:
             obs.observe("query.results", len(result.pairs))
             obs.observe("query.backward_steps", stats.backward_steps)
             obs.observe("query.wavelet_nodes", stats.wavelet_nodes)
-        slow_log = self.slow_log
-        if slow_log is not None:
-            # would_keep gates the snapshot build; fast queries cost
-            # one comparison (record() re-checks and counts them).
-            if slow_log.would_keep(stats.elapsed):
-                slow_log.record(
-                    str(rpq), stats.elapsed,
-                    n_results=len(result.pairs),
-                    timed_out=stats.timed_out,
-                    truncated=stats.truncated,
-                    counters=stats.operation_counts(),
-                    phase_seconds=(
-                        dict(obs.phase_seconds) if obs.enabled else {}
-                    ),
-                    span_tree=(
-                        spans.tree(query_span)
-                        if spans is not None else None
-                    ),
-                    engine=self.name,
-                    query_id=query_id,
-                )
-            else:
-                slow_log.total_recorded += 1
         return result
 
     def explain(self, query: RPQ | str) -> dict:

@@ -135,12 +135,10 @@ class MatrixRPQEngine:
         index,
         prepare_cache_size: int | None = 128,
         metrics=None,
-        slow_log=None,
     ):
         self.index = index
         self.store = PredicateMatrices.from_index(index)
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.slow_log = slow_log
         self._prepare_cache_size = prepare_cache_size or 0
         self._prepare_cache: "OrderedDict[RegexNode, _Prepared]" = \
             OrderedDict()
@@ -247,27 +245,6 @@ class MatrixRPQEngine:
             obs.observe("query.seconds", stats.elapsed)
             obs.observe("query.results", len(result.pairs))
             obs.observe("query.matmuls", stats.matmuls)
-        slow_log = self.slow_log
-        if slow_log is not None:
-            if slow_log.would_keep(stats.elapsed):
-                slow_log.record(
-                    str(rpq), stats.elapsed,
-                    n_results=len(result.pairs),
-                    timed_out=stats.timed_out,
-                    truncated=stats.truncated,
-                    counters=stats.operation_counts(),
-                    phase_seconds=(
-                        dict(obs.phase_seconds) if obs.enabled else {}
-                    ),
-                    span_tree=(
-                        spans.tree(query_span)
-                        if spans is not None else None
-                    ),
-                    engine=self.name,
-                    query_id=query_id,
-                )
-            else:
-                slow_log.total_recorded += 1
         return result
 
     # ------------------------------------------------------------------

@@ -40,10 +40,9 @@ class RoutedRPQEngine:
     """Per-query ring/matrix dispatch behind the engine interface.
 
     Both sub-engines share the index (and therefore the compiled
-    matrix store / prepare caches); metrics and the slow-query log are
-    threaded through so telemetry attributes each query to the backend
-    that actually ran it (``stats.backend`` is stamped by the
-    sub-engine).
+    matrix store / prepare caches); metrics are threaded through so
+    telemetry attributes each query to the backend that actually ran
+    it (``stats.backend`` is stamped by the sub-engine).
     """
 
     name = "routed"
@@ -52,17 +51,12 @@ class RoutedRPQEngine:
         self,
         index,
         metrics=None,
-        slow_log=None,
         decision_cache_size: int = 512,
     ):
         self.index = index
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.ring_engine = RingRPQEngine(
-            index, metrics=metrics, slow_log=slow_log
-        )
-        self.matrix_engine = MatrixRPQEngine(
-            index, metrics=metrics, slow_log=slow_log
-        )
+        self.ring_engine = RingRPQEngine(index, metrics=metrics)
+        self.matrix_engine = MatrixRPQEngine(index, metrics=metrics)
         self._engines = {
             "ring": self.ring_engine,
             "matrix": self.matrix_engine,

@@ -18,8 +18,9 @@ this subpackage makes that accounting first-class:
   behind the same hoisted ``enabled`` guards;
 * :mod:`repro.obs.histogram` — log-bucketed :class:`LogHistogram` with
   deterministic p50/p90/p99;
-* :mod:`repro.obs.slowlog` — :class:`SlowQueryLog`, a bounded record
-  of the K worst queries with counter snapshots and span trees;
+* :mod:`repro.obs.slowlog` — :class:`SlowQueryLog`, the K-worst
+  audit sink: the slowest queries' records with counter snapshots and
+  span trees;
 * :mod:`repro.obs.export` — :func:`prometheus_text`, the Prometheus
   text-format exporter over any :class:`Metrics`;
 * :mod:`repro.obs.timeseries` — :class:`TimeSeries`, fixed-capacity
@@ -30,8 +31,8 @@ this subpackage makes that accounting first-class:
 * :mod:`repro.obs.sampling_profiler` — :class:`SamplingProfiler`, a
   signal-free statistical profiler over ``sys._current_frames()``
   with flamegraph collapsed-stack export and §4 phase attribution;
-* :mod:`repro.obs.querylog` — :class:`QueryLogWriter`, structured
-  JSON-lines logging of every settled query keyed by ``query_id``;
+* :mod:`repro.obs.querylog` — :class:`QueryLogWriter`, the JSONL audit
+  sink: one line per settled query keyed by ``query_id``;
 * :mod:`repro.obs.httpd` — :class:`TelemetryServer`, the stdlib-only
   background HTTP server exposing ``/metrics``, ``/healthz``,
   ``/debug/vars``, ``/debug/profile`` and ``/debug/flight`` while the
@@ -41,8 +42,9 @@ this subpackage makes that accounting first-class:
   → settle) whose telescoping differences are the ``serve.stage.*``
   latency decomposition;
 * :mod:`repro.obs.audit` — :func:`audit_record` / :func:`span_digest`,
-  the compact per-query audit record joining lifecycle stages, outcome
-  flags, backend, cache verdict and a span-tree digest;
+  the one per-query record (lifecycle stages, engine time, outcome
+  flags, backend, cache verdict, a span-tree digest), and
+  :func:`publish`, which hands it to the three sinks;
 * :mod:`repro.obs.flight` — :class:`FlightRecorder`, the always-on
   bounded ring of the last N settled queries' audit records
   (``/debug/flight``, worker-crash post-mortem context);
@@ -66,7 +68,7 @@ from repro.obs.instrument import (
     instrument_matrix,
     instrument_ring,
 )
-from repro.obs.audit import audit_record, span_digest
+from repro.obs.audit import audit_record, publish, span_digest
 from repro.obs.export import label_key, prometheus_text
 from repro.obs.flight import FlightRecorder
 from repro.obs.histogram import LogHistogram
@@ -77,7 +79,7 @@ from repro.obs.profile import ProfileReport, profile_query
 from repro.obs.querylog import QueryLogWriter, read_query_log
 from repro.obs.sampler import ResourceSampler
 from repro.obs.sampling_profiler import SamplingProfiler
-from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog
+from repro.obs.slowlog import SlowQueryLog
 from repro.obs.space import (
     SpaceNode,
     audit_index,
@@ -103,7 +105,6 @@ __all__ = [
     "QueryLogWriter",
     "ResourceSampler",
     "SamplingProfiler",
-    "SlowQueryEntry",
     "SlowQueryLog",
     "Span",
     "SpaceNode",
@@ -124,6 +125,7 @@ __all__ = [
     "label_key",
     "profile_query",
     "prometheus_text",
+    "publish",
     "publish_space_gauges",
     "read_query_log",
     "span_digest",

@@ -22,15 +22,16 @@ Consumers:
 
 from __future__ import annotations
 
-import threading
 from collections import deque
+
+from repro.obs.audit import AuditSink
 
 #: Default ring capacity: enough history to cover a crash window,
 #: small enough that /debug/flight stays a cheap scrape.
 DEFAULT_CAPACITY = 256
 
 
-class FlightRecorder:
+class FlightRecorder(AuditSink):
     """A bounded, thread-safe ring buffer of audit records (dicts).
 
     Records are plain JSON-ready dicts (see
@@ -42,18 +43,16 @@ class FlightRecorder:
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
+        super().__init__()
         self.capacity = capacity
         self._ring: deque[dict] = deque(maxlen=capacity)
-        self._lock = threading.Lock()
-        self.total_recorded = 0
 
     # ------------------------------------------------------------------
 
-    def record(self, audit: dict) -> None:
-        """Append one settled-query audit record."""
-        with self._lock:
-            self._ring.append(audit)
-            self.total_recorded += 1
+    def _keep(self, record: dict) -> bool:
+        # Compact records only: wants_detail stays False.
+        self._ring.append(record)
+        return True
 
     def records(self, last: "int | None" = None) -> list[dict]:
         """The retained records, oldest first (``last``: tail only)."""

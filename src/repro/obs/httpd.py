@@ -199,20 +199,18 @@ class TelemetryServer:
                     for name, hist in sorted(metrics.histograms.items())
                 },
             }
-            slow_log = self.slow_log
-            if slow_log is not None:
-                entries = []
-                for entry in slow_log.entries():
-                    record = entry.to_dict()
-                    # Span trees belong in the slow log proper; keep
-                    # the debug snapshot scrape-sized.
-                    record.pop("span_tree", None)
-                    entries.append(record)
-                out["slow_log"] = {
-                    "capacity": slow_log.capacity,
-                    "total_recorded": slow_log.total_recorded,
-                    "entries": entries,
-                }
+        slow_log = self.slow_log
+        if slow_log is not None:
+            # The slow log has its own lock.  Span trees belong in the
+            # slow log proper; keep the debug snapshot scrape-sized.
+            out["slow_log"] = {
+                "capacity": slow_log.capacity,
+                "total_recorded": slow_log.total_recorded,
+                "entries": [
+                    {k: v for k, v in entry.items() if k != "span_tree"}
+                    for entry in slow_log.entries()
+                ],
+            }
         if self.service is not None:
             out["service"] = self.service.stats()
             out["healthz"] = self.render_healthz()

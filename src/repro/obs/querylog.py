@@ -2,20 +2,19 @@
 
 The slow log keeps the K worst queries; dashboards and offline
 analysis need the *other* direction too — every query, one compact
-line, join-able against the slow log and span trees by ``query_id``.
-:class:`QueryLogWriter` appends one JSON object per settled query:
-wall-clock timestamp, query id, query text, outcome flags, latency,
-queue wait and result count.  Counters are deliberately excluded from
-the default record (they multiply the line size ~10x and live in the
-slow log for the queries that matter); pass ``counters=True`` to
-include them anyway.
+line, join-able against the slow log and the flight recorder by
+``query_id``.  :class:`QueryLogWriter` is the JSONL sink over
+:func:`repro.obs.audit.audit_record`: each line is the audit record of
+one settled query plus ``schema_version``.  Counters are deliberately
+excluded by default (they multiply the line size ~10x and live in the
+slow log for the queries that matter); build the writer with
+``counters=True`` to attach them — with the phase seconds and, when
+spans were collected, the span tree — to every line.
 
-Schema v2 (``schema_version: 2``) extends every line — all v1 fields
-kept — with the per-request audit plane's join keys: ``backend`` (which
-engine computed the answer), ``cache_hit``, and ``stages`` (the
-lifecycle stage-duration decomposition, see
-:mod:`repro.obs.lifecycle`), so one ``query_id`` joins the query log,
-the flight recorder and the histogram exemplars with no extra lookup.
+Schema v3 (``schema_version: 3``) is the audit record itself; see
+``docs/observability.md`` for the mapping from v2, whose
+``wait_seconds`` and ``cached`` fields are carried by ``stages`` and
+``cache_hit``.
 
 The writer is thread-safe (one lock around write+flush) and used by
 :class:`~repro.serve.QueryService` when constructed with
@@ -25,12 +24,12 @@ The writer is thread-safe (one lock around write+flush) and used by
 from __future__ import annotations
 
 import json
-import threading
-import time
+
+from repro.obs.audit import AuditSink
 
 
-class QueryLogWriter:
-    """Append-only JSON-lines log of settled queries.
+class QueryLogWriter(AuditSink):
+    """Append-only JSON-lines log of audit records.
 
     Parameters
     ----------
@@ -38,12 +37,15 @@ class QueryLogWriter:
         A path (opened for append) or any writable text file object
         (kept open; closed by :meth:`close` only when owned).
     counters:
-        Include each query's full operation-counter dict per line.
-    clock:
-        Wall-clock source for the ``ts`` field (default :func:`time.time`).
+        Ask :func:`~repro.obs.audit.publish` for each query's heavy
+        fields (operation counters, phase seconds, span tree).
     """
 
-    def __init__(self, target, counters: bool = False, clock=time.time):
+    #: Version stamped on every line.
+    SCHEMA_VERSION = 3
+
+    def __init__(self, target, counters: bool = False):
+        super().__init__()
         if hasattr(target, "write"):
             self._handle = target
             self._owns_handle = False
@@ -53,59 +55,19 @@ class QueryLogWriter:
             self._owns_handle = True
             self.path = str(target)
         self.counters = counters
-        self.clock = clock
-        self.written = 0
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
 
-    def log(
-        self,
-        query_id: str,
-        query: str,
-        stats,
-        n_results: int = 0,
-        wait_seconds: float | None = None,
-        engine: str | None = None,
-        stages: "dict[str, float] | None" = None,
-        **extra,
-    ) -> dict:
-        """Write one record; returns the dict that was written.
+    def wants_detail(self, record: dict) -> bool:
+        """Heavy fields on every line iff built with ``counters``."""
+        return self.counters
 
-        ``stats`` is a :class:`~repro.core.result.QueryStats` (or any
-        object with the same flag/elapsed attributes); ``stages`` the
-        lifecycle stage-duration decomposition of the serving tiers
-        (absent for bare-engine callers).
-        """
-        record: dict = {
-            "schema_version": 2,
-            "ts": self.clock(),
-            "query_id": query_id,
-            "query": query,
-            "elapsed": stats.elapsed,
-            "n_results": n_results,
-            "backend": getattr(stats, "backend", "") or (engine or ""),
-            "cache_hit": bool(getattr(stats, "cached", False)),
-        }
-        if engine is not None:
-            record["engine"] = engine
-        if wait_seconds is not None:
-            record["wait_seconds"] = wait_seconds
-        if stages is not None:
-            record["stages"] = stages
-        for flag in ("timed_out", "truncated", "cancelled", "cached"):
-            if getattr(stats, flag, False):
-                record[flag] = True
-        if self.counters:
-            record["counters"] = stats.operation_counts()
-        if extra:
-            record.update(extra)
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True)
-        with self._lock:
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            self.written += 1
-        return record
+    def _keep(self, record: dict) -> bool:
+        line = json.dumps({**record, "schema_version": self.SCHEMA_VERSION},
+                          separators=(",", ":"), sort_keys=True)
+        self._handle.write(line + "\n")
+        self._handle.flush()
+        return True
 
     def close(self) -> None:
         """Flush and close the underlying file (when owned)."""
@@ -120,7 +82,8 @@ class QueryLogWriter:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"QueryLogWriter({self.path!r}, written={self.written})"
+        return (f"QueryLogWriter({self.path!r}, "
+                f"total={self.total_recorded})")
 
 
 def read_query_log(path) -> list[dict]:

@@ -3,15 +3,17 @@
 A serving engine cannot keep every query's telemetry, but the handful
 of *worst* queries are exactly the ones worth keeping in full detail —
 they dominate tail latency and are where the paper's pruning argument
-either holds or falls apart.  :class:`SlowQueryLog` retains the K
-slowest queries seen so far (min-heap on elapsed time), each with its
+either holds or falls apart.  :class:`SlowQueryLog` is the K-worst
+sink over :func:`repro.obs.audit.audit_record` dicts: it retains the K
+slowest records seen so far (min-heap on ``elapsed``), each with its
 complete counter snapshot and, when span collection was on, the
 captured span tree.
 
-Attach one to an engine (``RingRPQEngine(..., slow_log=log)``) or a
-benchmark run (``run_benchmark(..., slow_log=log)``); recording is
-guarded by :meth:`would_keep` so the common fast query costs one float
-comparison.
+Attach one to a :class:`~repro.serve.QueryService` (``slow_log=``) or a
+benchmark run (``run_benchmark(..., slow_log=log)``).  Its
+:meth:`wants_detail` gate (one float comparison) tells
+:func:`~repro.obs.audit.publish` whether to build the heavy fields, so
+the common fast query never pays for a counter snapshot or span tree.
 """
 
 from __future__ import annotations
@@ -19,131 +21,80 @@ from __future__ import annotations
 import heapq
 import json
 
+from repro.obs.audit import AuditSink
 
-class SlowQueryEntry:
-    """One retained slow query."""
-
-    __slots__ = ("query", "elapsed", "seq", "n_results", "timed_out",
-                 "truncated", "counters", "phase_seconds", "span_tree",
-                 "engine", "query_id")
-
-    def __init__(self, query: str, elapsed: float, seq: int,
-                 n_results: int = 0, timed_out: bool = False,
-                 truncated: bool = False,
-                 counters: dict | None = None,
-                 phase_seconds: dict | None = None,
-                 span_tree: list | None = None,
-                 engine: str | None = None,
-                 query_id: str | None = None):
-        self.query = query
-        self.elapsed = elapsed
-        self.seq = seq
-        self.n_results = n_results
-        self.timed_out = timed_out
-        self.truncated = truncated
-        self.counters = counters or {}
-        self.phase_seconds = phase_seconds or {}
-        self.span_tree = span_tree
-        self.engine = engine
-        self.query_id = query_id
-
-    def to_dict(self) -> dict:
-        out = {
-            "query": self.query,
-            "elapsed": self.elapsed,
-            "n_results": self.n_results,
-            "timed_out": self.timed_out,
-            "truncated": self.truncated,
-            "counters": dict(sorted(self.counters.items())),
-            "phase_seconds": dict(sorted(self.phase_seconds.items())),
-        }
-        if self.query_id is not None:
-            out["query_id"] = self.query_id
-        if self.engine is not None:
-            out["engine"] = self.engine
-        if self.span_tree is not None:
-            out["span_tree"] = self.span_tree
-        return out
-
-    def __lt__(self, other: "SlowQueryEntry") -> bool:
-        # Heap order: by elapsed, ties broken by arrival order so the
-        # eviction decision is deterministic.
-        return (self.elapsed, self.seq) < (other.elapsed, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"SlowQueryEntry({self.query!r}, "
-                f"elapsed={self.elapsed:.4f}s)")
+#: Outcome flags shown in :meth:`SlowQueryLog.format_table`.
+_FLAGS = (("timed_out", "TIMEOUT"), ("truncated", "TRUNCATED"),
+          ("cancelled", "CANCELLED"), ("cache_hit", "CACHED"))
 
 
-class SlowQueryLog:
-    """Bounded log of the ``capacity`` slowest queries seen so far."""
-
-    __slots__ = ("capacity", "_heap", "_seq", "total_recorded")
+class SlowQueryLog(AuditSink):
+    """Bounded, thread-safe log of the ``capacity`` slowest records."""
 
     def __init__(self, capacity: int = 10):
         if capacity < 1:
             raise ValueError("slow-query log capacity must be >= 1")
+        super().__init__()
         self.capacity = capacity
-        self._heap: list[SlowQueryEntry] = []
-        self._seq = 0
-        self.total_recorded = 0
+        # (elapsed, arrival number, record): ties on elapsed break by
+        # arrival order, so eviction is deterministic and the records
+        # themselves are never compared.
+        self._heap: list[tuple[float, int, dict]] = []
 
     def __len__(self) -> int:
-        return len(self._heap)
+        with self._lock:
+            return len(self._heap)
 
     @property
     def threshold(self) -> float:
         """Minimum elapsed time a new query needs to be retained."""
-        if len(self._heap) < self.capacity:
-            return 0.0
-        return self._heap[0].elapsed
+        with self._lock:
+            if len(self._heap) < self.capacity:
+                return 0.0
+            return self._heap[0][0]
+
+    def _keeps(self, elapsed: float) -> bool:
+        # Callers hold self._lock.
+        return len(self._heap) < self.capacity or elapsed > self._heap[0][0]
 
     def would_keep(self, elapsed: float) -> bool:
-        """Cheap pre-check: would a query this slow be retained?
+        """Cheap pre-check: would a query this slow be retained?"""
+        with self._lock:
+            return self._keeps(elapsed)
 
-        Callers use this to skip building the counter snapshot (and
-        especially the span tree) for fast queries.
-        """
-        return len(self._heap) < self.capacity or elapsed > self._heap[0].elapsed
+    def wants_detail(self, record: dict) -> bool:
+        """Only records that will be retained need the counters, phase
+        seconds and span tree."""
+        return self.would_keep(record["elapsed"])
 
-    def record(self, query: str, elapsed: float, *,
-               n_results: int = 0, timed_out: bool = False,
-               truncated: bool = False,
-               counters: dict | None = None,
-               phase_seconds: dict | None = None,
-               span_tree: list | None = None,
-               engine: str | None = None,
-               query_id: str | None = None) -> bool:
-        """Offer one finished query; returns True when it was retained."""
-        self.total_recorded += 1
-        if not self.would_keep(elapsed):
+    def _keep(self, record: dict) -> bool:
+        elapsed = record["elapsed"]
+        if not self._keeps(elapsed):
             return False
-        entry = SlowQueryEntry(
-            query, elapsed, self._seq, n_results=n_results,
-            timed_out=timed_out, truncated=truncated, counters=counters,
-            phase_seconds=phase_seconds, span_tree=span_tree,
-            engine=engine, query_id=query_id,
-        )
-        self._seq += 1
+        item = (elapsed, self.total_recorded, record)
         if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, entry)
+            heapq.heappush(self._heap, item)
         else:
-            heapq.heapreplace(self._heap, entry)
+            heapq.heapreplace(self._heap, item)
         return True
 
-    def entries(self) -> list[SlowQueryEntry]:
-        """Retained queries, slowest first."""
-        return sorted(self._heap, key=lambda e: (-e.elapsed, e.seq))
+    def entries(self) -> list[dict]:
+        """Retained records, slowest first."""
+        with self._lock:
+            heap = list(self._heap)
+        return [record for _, _, record in
+                sorted(heap, key=lambda item: (-item[0], item[1]))]
 
     def clear(self) -> None:
-        self._heap.clear()
-        self.total_recorded = 0
+        """Drop all retained records (the total keeps counting)."""
+        with self._lock:
+            self._heap.clear()
 
     def to_dict(self) -> dict:
         return {
             "capacity": self.capacity,
             "total_recorded": self.total_recorded,
-            "entries": [entry.to_dict() for entry in self.entries()],
+            "entries": self.entries(),
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -151,21 +102,21 @@ class SlowQueryLog:
 
     def format_table(self) -> str:
         """Human-readable rendering, slowest first."""
-        lines = [f"slow-query log: {len(self._heap)}/{self.capacity} "
+        entries = self.entries()
+        lines = [f"slow-query log: {len(entries)}/{self.capacity} "
                  f"retained of {self.total_recorded} recorded"]
-        for rank, entry in enumerate(self.entries(), 1):
-            flags = []
-            if entry.timed_out:
-                flags.append("TIMEOUT")
-            if entry.truncated:
-                flags.append("TRUNCATED")
+        for rank, entry in enumerate(entries, 1):
+            flags = [label for key, label in _FLAGS if entry.get(key)]
+            if "error" in entry:
+                flags.append(entry["error"])
             suffix = f"  [{','.join(flags)}]" if flags else ""
             lines.append(
-                f"{rank:3d}. {entry.elapsed * 1e3:10.3f} ms  "
-                f"{entry.n_results:8d} rows  {entry.query}{suffix}"
+                f"{rank:3d}. {entry['elapsed'] * 1e3:10.3f} ms  "
+                f"{entry.get('n_results', 0):8d} rows  "
+                f"{entry['query']}{suffix}"
             )
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"SlowQueryLog({len(self._heap)}/{self.capacity}, "
+        return (f"SlowQueryLog({len(self)}/{self.capacity}, "
                 f"threshold={self.threshold:.4f}s)")

@@ -41,7 +41,7 @@ from repro.core.engine import RingRPQEngine
 from repro.core.query import RPQ, as_query
 from repro.core.result import QueryResult, QueryStats
 from repro.errors import OverloadedError, ServiceClosedError
-from repro.obs.audit import audit_record
+from repro.obs.audit import audit_record, publish
 from repro.obs.lifecycle import QueryLifecycle
 from repro.obs.metrics import Metrics, NULL_METRICS
 from repro.serve.admission import AdmissionController
@@ -171,29 +171,24 @@ class QueryService:
         against private per-thread registries (the registry class is
         not thread-safe) and merge into this one under a lock after
         every query.
-    slow_log:
-        A :class:`~repro.obs.slowlog.SlowQueryLog`; the service owns
-        recording (under its lock — the log is not thread-safe), so
-        the engine is built without one.
-    query_log:
-        A :class:`~repro.obs.querylog.QueryLogWriter`; every settled
-        query (including cache hits) appends one JSON line carrying
-        its ``query_id``, so log lines join the slow log and span
-        trees on the same id.  The writer is thread-safe; the service
-        writes outside its own lock.
-    flight:
-        A :class:`~repro.obs.flight.FlightRecorder`; every settled
-        query (cache hits and errors included) appends one bounded
-        audit record — lifecycle stage decomposition, outcome flags,
-        backend, cache verdict, span digest — served live at
-        ``/debug/flight`` and dumped into
+    slow_log / query_log / flight:
+        The audit sinks.  Every settled query — cache hits and errors
+        included — produces one :func:`~repro.obs.audit.audit_record`
+        (lifecycle stage decomposition, engine ``elapsed``, outcome
+        flags, backend, cache verdict, span digest), handed to each
+        sink that is attached here: the
+        :class:`~repro.obs.slowlog.SlowQueryLog` retains the K worst
+        with counters and span tree, the
+        :class:`~repro.obs.querylog.QueryLogWriter` appends one JSON
+        line, and the :class:`~repro.obs.flight.FlightRecorder` keeps
+        the last N (served live at ``/debug/flight`` and dumped into
         :class:`~repro.errors.WorkerCrashedError` context by the
-        process tier.  The recorder has its own lock; the service
-        appends outside its own.
+        process tier).  All three join on ``query_id``; each sink has
+        its own lock, and the service appends outside its own.  With
+        no sink attached no record is built.
     engine:
         Optionally a pre-configured engine over ``index`` (ablations,
-        custom prepare-cache size).  Its ``slow_log``
-        should be ``None``; the service records instead.
+        custom prepare-cache size).
     """
 
     def __init__(
@@ -223,6 +218,10 @@ class QueryService:
         self.slow_log = slow_log
         self.query_log = query_log
         self.flight = flight
+        self._sinks = tuple(
+            sink for sink in (flight, slow_log, query_log)
+            if sink is not None
+        )
         self.started_at = time.monotonic()
         # Cumulative engine-execution seconds per worker slot, fed by
         # each query's ``execute`` lifecycle stage; the source for the
@@ -250,7 +249,7 @@ class QueryService:
             self._engine_takes_query_id = False
         self._queue: queue.Queue = queue.Queue()
         self._tickets: dict[str, Ticket] = {}
-        self._lock = threading.Lock()      # tickets / obs merge / slowlog
+        self._lock = threading.Lock()      # tickets / obs merge
         self._ids = itertools.count(1)
         self._closed = False
         self._threads = [
@@ -315,20 +314,8 @@ class QueryService:
                     for stage, seconds in stages.items():
                         obs.observe(f"serve.stage.{stage}", seconds,
                                     exemplar=query_id)
-            if self.flight is not None:
-                self.flight.record(audit_record(
-                    ticket, cached.stats,
-                    n_results=len(cached.pairs),
-                    engine=f"serve/{self.engine.name}",
-                    cache_hit=True,
-                ))
-            if self.query_log is not None:
-                self.query_log.log(
-                    query_id, str(rpq), cached.stats,
-                    n_results=len(cached.pairs),
-                    engine=f"serve/{self.engine.name}",
-                    stages=stages,
-                )
+            self._record(ticket, cached.stats, len(cached.pairs),
+                         cache_hit=True)
             ticket._settle(cached)
             return ticket
 
@@ -504,7 +491,7 @@ class QueryService:
 
     @property
     def obs_lock(self) -> threading.Lock:
-        """The lock guarding :attr:`metrics` (and the slow log).
+        """The lock guarding :attr:`metrics`.
 
         The telemetry plane — :class:`~repro.obs.httpd.TelemetryServer`
         scrapes, :class:`~repro.obs.sampler.ResourceSampler` gauge
@@ -575,15 +562,9 @@ class QueryService:
                         self._refresh_gauges(service_obs)
                 if local.enabled:
                     local.reset()
-                if self.flight is not None:
-                    # Errors are exactly what a black box must retain.
-                    self.flight.record(audit_record(
-                        ticket, QueryStats(query_id=ticket.query_id),
-                        n_results=0,
-                        engine=f"serve/{self.engine.name}",
-                        worker_id=worker_id,
-                        error=error,
-                    ))
+                # Errors are exactly what a black box must retain.
+                self._record(ticket, QueryStats(query_id=ticket.query_id),
+                             0, worker_id=worker_id, error=error)
                 ticket._settle(None, error)
             else:
                 self._finish(
@@ -659,18 +640,11 @@ class QueryService:
         lifecycle.mark("settled")
         stages = lifecycle.stage_durations()
         busy = stages.get("execute", 0.0)
-        audit = None
-        if self.flight is not None:
-            # Built before the merge below absorbs (and the reset
-            # clears) the worker's span stack — the digest needs this
-            # query's spans, which only exist in ``local`` right now.
-            audit = audit_record(
-                ticket, stats,
-                n_results=len(result.pairs),
-                engine=f"serve/{self.engine.name}",
-                worker_id=worker_id if ran else None,
-                spans=local.spans if local.enabled else None,
-            )
+        # Recorded before the merge below absorbs (and the reset
+        # clears) the worker's span stack — the digest and span tree
+        # need this query's spans, which only exist in ``local`` now.
+        self._record(ticket, stats, len(result.pairs), local=local,
+                     worker_id=worker_id if ran else None)
         obs = self.metrics
         query_id = ticket.query_id
         with self._lock:
@@ -711,33 +685,28 @@ class QueryService:
                 self._refresh_gauges(obs)
             if local.enabled:
                 local.reset()
-            slow_log = self.slow_log
-            if slow_log is not None and slow_log.would_keep(stats.elapsed):
-                slow_log.record(
-                    str(ticket.query), stats.elapsed,
-                    n_results=len(result.pairs),
-                    timed_out=stats.timed_out,
-                    truncated=stats.truncated,
-                    counters=stats.operation_counts(),
-                    engine=f"serve/{self.engine.name}",
-                    query_id=query_id,
-                )
-        if audit is not None:
-            # The recorder has its own lock; append off the service
-            # lock, but before settlement so a caller that just got
-            # its result always finds the record already in the ring.
-            self.flight.record(audit)
-        if self.query_log is not None:
-            # The writer has its own lock; keep the JSON encoding and
-            # file write off the service lock's critical section.
-            self.query_log.log(
-                query_id, str(ticket.query), stats,
-                n_results=len(result.pairs),
-                wait_seconds=waited if ran else None,
-                engine=f"serve/{self.engine.name}",
-                stages=stages,
-            )
         ticket._settle(result)
+
+    def _record(self, ticket, stats, n_results: int,
+                local=NULL_METRICS, **fields) -> None:
+        """Hand one settled query's audit record to every sink.
+
+        The one place records leave the service.  Runs off
+        ``self._lock`` (each sink has its own) and before settlement,
+        so a caller that just got its result always finds the record
+        in every sink.  ``local`` is the worker registry holding this
+        query's spans and phase timers.
+        """
+        if not self._sinks:
+            return
+        spans = local.spans if local.enabled else None
+        record = audit_record(
+            ticket.query, stats, n_results, f"serve/{self.engine.name}",
+            ticket=ticket, spans=spans, **fields,
+        )
+        publish(self._sinks, record, stats, spans=spans,
+                phase_seconds=local.phase_seconds if local.enabled
+                else None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"QueryService(workers={self.workers}, "

@@ -28,6 +28,7 @@ from repro.obs.httpd import TelemetryServer
 from repro.obs.lifecycle import STAGE_MARKS, QueryLifecycle
 from repro.obs.metrics import Metrics
 from repro.obs.querylog import QueryLogWriter, read_query_log
+from repro.obs.slowlog import SlowQueryLog
 from repro.serve.service import QueryService
 
 WORKLOAD = [
@@ -290,11 +291,13 @@ def test_thread_tier_stage_sum_matches_e2e_for_every_query(kg_index,
     assert all(0.0 <= w["utilization"] <= 1.0 for w in detail)
     assert service.stats()["flight"]["total_recorded"] == len(records)
 
-    # Query-log schema v2: every line carries the stage decomposition.
+    # Query-log schema v3: every line is the flight ring's audit
+    # record plus the schema version.
     lines = read_query_log(log_path)
     assert len(lines) == len(WORKLOAD) + 1
+    assert [line.pop("schema_version") for line in lines] == [3] * len(lines)
+    assert lines == records
     for line in lines:
-        assert line["schema_version"] == 2
         assert line["backend"]
         assert "cache_hit" in line
         assert line["stages"] and all(
@@ -333,21 +336,36 @@ class _BoomEngine:
         raise RuntimeError("engine exploded")
 
 
-def test_error_paths_land_in_the_flight_ring(kg_index):
+def test_error_paths_land_in_the_flight_ring(kg_index, tmp_path):
+    """An errored query reaches every sink: one flight record, one
+    JSONL line and one K-worst offer, all the same audit record."""
+    log_path = tmp_path / "queries.jsonl"
     flight = FlightRecorder(8)
+    slow_log = SlowQueryLog(capacity=4)
+    query_log = QueryLogWriter(log_path)
     service = QueryService(kg_index, workers=1, metrics=Metrics(),
-                           flight=flight, cache_size=0,
+                           flight=flight, slow_log=slow_log,
+                           query_log=query_log, cache_size=0,
                            engine=_BoomEngine())
     try:
         with pytest.raises(RuntimeError, match="engine exploded"):
             service.evaluate(WORKLOAD[0], timeout=60)
     finally:
         service.close()
+        query_log.close()
     records = flight.records()
     assert len(records) == 1
     assert records[0]["error"] == "RuntimeError"
     assert "engine exploded" in records[0]["error_detail"]
     _assert_stages_cover_total(records[0])
+    (line,) = read_query_log(log_path)
+    assert line["query_id"] == records[0]["query_id"]
+    assert line["error"] == records[0]["error"]
+    assert line["error_detail"] == records[0]["error_detail"]
+    assert slow_log.total_recorded == 1
+    (entry,) = slow_log.entries()
+    assert entry["query_id"] == records[0]["query_id"]
+    assert entry["error"] == "RuntimeError"
 
 
 # ----------------------------------------------------------------------

@@ -273,7 +273,7 @@ class TestQueryService:
         assert any(s.name.startswith("worker:") for s in obs.spans.spans)
         # The evaluation landed in the slow log, attributed to serving.
         entries = slow.entries()
-        assert entries and entries[0].engine.startswith("serve/")
+        assert entries and entries[0]["engine"].startswith("serve/")
 
     def test_stats_snapshot(self, kg_index):
         with QueryService(kg_index, workers=2, cache_size=4) as service:

@@ -16,6 +16,7 @@ first, which is scheduling — not correctness.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -192,18 +193,25 @@ def test_property_pool_equals_sequential(graph, picks, limit):
             == _sequential(index, queries, limit=limit))
 
 
-def test_flight_ring_under_parallel_settlement(kg_index):
-    """Many submitter threads settling concurrently: the flight ring
-    records every settlement exactly once, every retained record's
-    stage durations cover its end-to-end latency, and the exemplar ids
-    in the stage histograms all resolve to real queries."""
+def test_flight_ring_under_parallel_settlement(kg_index, tmp_path):
+    """Many submitter threads settling concurrently: every audit sink
+    (flight ring, K-worst, JSONL) records every settlement exactly
+    once, every retained record's stage durations cover its end-to-end
+    latency, and the exemplar ids in the stage histograms all resolve
+    to real queries."""
     from repro.obs.flight import FlightRecorder
+    from repro.obs.querylog import QueryLogWriter, read_query_log
+    from repro.obs.slowlog import SlowQueryLog
 
     n_threads, per_thread = 6, 8
     flight = FlightRecorder(capacity=16)
+    slow_log = SlowQueryLog(capacity=5)
+    log_path = tmp_path / "queries.jsonl"
+    query_log = QueryLogWriter(log_path)
     obs = Metrics()
     service = QueryService(
         kg_index, workers=4, cache_size=0, metrics=obs, flight=flight,
+        slow_log=slow_log, query_log=query_log,
         max_pending=n_threads * per_thread + 8,
         engine=RingRPQEngine(kg_index, prepare_cache_size=0),
     )
@@ -221,20 +229,39 @@ def test_flight_ring_under_parallel_settlement(kg_index):
         threading.Thread(target=submitter, args=(tid,))
         for tid in range(n_threads)
     ]
+    # A short switch interval makes a lost update in any sink's
+    # counter or heap far more likely to show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
     finally:
+        sys.setswitchinterval(interval)
         service.close()
+        query_log.close()
     assert not errors
     total = n_threads * per_thread
     assert flight.total_recorded == total
+    assert slow_log.total_recorded == total
+    assert query_log.total_recorded == total
     records = flight.records()
     assert len(records) == flight.capacity
     ids = [r["query_id"] for r in records]
     assert len(set(ids)) == len(ids), "duplicate settlements in ring"
+    lines = read_query_log(log_path)
+    assert len(lines) == total
+    assert len({line["query_id"] for line in lines}) == total
+    entries = slow_log.entries()
+    assert len(entries) == slow_log.capacity
+    assert len({e["query_id"] for e in entries}) == slow_log.capacity
+    # The K worst really are the K largest elapsed times of the run.
+    assert sorted((e["elapsed"] for e in entries), reverse=True) == \
+        sorted((line["elapsed"] for line in lines),
+               reverse=True)[:slow_log.capacity]
     for record in records:
         stages = record["stages"]
         assert sum(stages.values()) == pytest.approx(

@@ -29,6 +29,7 @@ from repro.obs import (
     prometheus_text,
     read_query_log,
 )
+from repro.obs.audit import audit_record, publish
 from repro.obs.httpd import PROMETHEUS_CONTENT_TYPE
 from repro.obs.sampler import PROCESS_GAUGES, read_rss_bytes
 from repro.obs.slowlog import SlowQueryLog
@@ -186,42 +187,45 @@ class TestSamplingProfiler:
 class TestQueryLog:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "queries.jsonl"
-        stats = QueryStats()
+        stats = QueryStats(query_id="q1")
         stats.elapsed = 0.5
-        writer = QueryLogWriter(path, clock=lambda: 123.0)
-        writer.log("q1", "(?x, p0, ?y)", stats, n_results=2,
-                   wait_seconds=0.01, engine="serve/ring")
-        timed = QueryStats()
+        writer = QueryLogWriter(path)
+        record = audit_record("(?x, p0, ?y)", stats, 2, "serve/ring")
+        record["ts"] = 123.0
+        writer.record(record)
+        timed = QueryStats(query_id="q2")
         timed.timed_out = True
         timed.truncated = True
-        writer.log("q2", "(?x, p1, ?y)", timed)
+        writer.record(audit_record("(?x, p1, ?y)", timed, 0, "ring"))
         writer.close()
         records = read_query_log(path)
         assert [r["query_id"] for r in records] == ["q1", "q2"]
         first, second = records
         assert first == {
-            "schema_version": 2, "ts": 123.0, "query_id": "q1",
+            "schema_version": 3, "ts": 123.0, "query_id": "q1",
             "query": "(?x, p0, ?y)", "backend": "serve/ring",
             "cache_hit": False, "elapsed": 0.5, "n_results": 2,
-            "wait_seconds": 0.01, "engine": "serve/ring",
+            "engine": "serve/ring",
         }
         # Outcome flags appear only when set.
         assert second["timed_out"] and second["truncated"]
         assert "cached" not in second and "cancelled" not in second
-        assert second["schema_version"] == 2
-        assert writer.written == 2
+        assert second["schema_version"] == 3
+        assert writer.total_recorded == 2
 
     def test_counters_opt_in(self, tmp_path):
         path = tmp_path / "queries.jsonl"
+        stats = QueryStats(query_id="q1")
         with QueryLogWriter(path, counters=True) as writer:
-            writer.log("q1", "(?x, p0, ?y)", QueryStats())
+            publish([writer],
+                    audit_record("(?x, p0, ?y)", stats, 0, "ring"), stats)
         (record,) = read_query_log(path)
         assert "counters" in record
 
     def test_file_object_target_not_closed(self, tmp_path):
         handle = open(tmp_path / "q.jsonl", "a", encoding="utf-8")
         writer = QueryLogWriter(handle)
-        writer.log("q1", "x", QueryStats())
+        writer.record(audit_record("x", QueryStats(query_id="q1"), 0, "r"))
         writer.close()
         assert not handle.closed
         handle.close()
@@ -397,12 +401,13 @@ class TestTelemetryEndToEnd:
         assert record["query"] == "(?x, p0/p1, ?y)"
         assert record["engine"].startswith("serve/")
 
-        # Slow log: the entry for this query carries the id too.
+        # Slow log: the entry for this query carries the id too, and
+        # is the same audit record the query log wrote.
         entries = plane["slow_log"].entries()
-        assert any(e.query_id == qid for e in entries)
-        assert any(
-            e.to_dict().get("query_id") == qid for e in entries
-        )
+        (entry,) = [e for e in entries if e["query_id"] == qid]
+        assert entry["elapsed"] == record["elapsed"]
+        assert entry["stages"] == record["stages"]
+        assert entry["span_tree"]
 
         # Span tree: the engine stamped the id onto its query span.
         spans = plane["metrics"].spans.spans
